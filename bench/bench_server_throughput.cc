@@ -1,25 +1,21 @@
 // Query-server throughput: end-to-end (TCP, wire protocol, micro-batching
 // batcher) throughput of server::QueryServer over the batched online
 // phase, centered on MULTI-MODEL windows: streams striping 1, 2 and 4
-// registry models are served twice — with the shared-window scheduler
-// (one SearchEngine::BatchQueryMulti per k group: the window's row union
-// gathered once, every row scored under all its models by the
-// multi-weight kernels) and with the legacy per-(model, k) grouping (one
-// BatchQuery per model) — plus the unbatched baseline (max_batch = 1).
-//
-// The bench HARD-FAILS unless the shared window beats per-model grouping
-// at every mixed-model count: that superiority is this subsystem's reason
-// to exist, so losing it is a regression, not a footnote. The
-// gather-amortization counters (rows_gathered, rows_saved_vs_per_model,
+// registry models (the batcher ranks each window with one
+// BatchQueryMulti call per index snapshot, every row scored under all its
+// models by the multi-weight kernels), plus the unbatched baseline
+// (max_batch = 1). The bench HARD-FAILS unless micro-batching beats the
+// unbatched baseline. The window counters (rows_gathered,
 // models_per_window) and a closed-loop per-model p50 latency probe land
-// in the JSON report next to the throughput numbers.
+// in the JSON report next to the throughput numbers. (The offline
+// counterpart — one N-model call vs N one-model calls on the same window
+// — is a hard gate in bench_online_batch.)
 //
 // Also verifies the server determinism contract on every configuration:
 // every response must carry exactly the nodes and bitwise-identical
 // scores of an offline engine.Query() for that node UNDER THE MODEL THE
 // REQUEST NAMED (scores cross the wire as %.17g text, which round-trips
-// the double bits) — the shared-window and per-group schedules must be
-// byte-indistinguishable to clients.
+// the double bits).
 //
 // The C10K section (reactor-era): ONE epoll-driven driver thread holds
 // 512+ pipelined nonblocking connections against the server's own epoll
@@ -77,10 +73,6 @@ struct Config {
   /// Stream index i queries model i % num_models — every window mixes
   /// every model.
   size_t num_models;
-  /// Shared-window scheduler (BatchQueryMulti per k group) vs. the legacy
-  /// per-(model, k) grouping. Same responses either way; only the
-  /// schedule — and the throughput — differs.
-  bool shared;
 };
 
 size_t ModelOf(const Config& config, size_t i) {
@@ -493,9 +485,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--c10k-only") == 0) c10k_only = true;
   }
-  std::printf(
-      "== query server: shared-window vs per-model grouping, 1/2/4 models "
-      "==\n");
+  std::printf("== query server: micro-batched windows, 1/2/4 models ==\n");
   std::printf("hardware concurrency: %zu\n\n", util::ResolveNumThreads(0));
 
   Bundle b = MakeFacebook(5, 450, 1200);
@@ -536,28 +526,22 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --c10k-only empties the grouping matrix (the CI smoke job runs just
-  // the C10K section; the full matrix runs in the bench job).
+  // --c10k-only empties the model matrix (the CI smoke job runs just the
+  // C10K section; the full matrix runs in the bench job).
   const std::vector<Config> configs =
       c10k_only ? std::vector<Config>{}
                 : std::vector<Config>{
-                      {"unbatched", 4, 1, 0, 1, true},
-                      {"1 model, shared", 4, 64, 2000, 1, true},
-                      {"2 models, per-group", 4, 64, 2000, 2, false},
-                      {"2 models, shared", 4, 64, 2000, 2, true},
-                      {"4 models, per-group", 4, 64, 2000, 4, false},
-                      {"4 models, shared", 4, 64, 2000, 4, true},
+                      {"unbatched", 4, 1, 0, 1},
+                      {"1 model", 4, 64, 2000, 1},
+                      {"2 models", 4, 64, 2000, 2},
+                      {"4 models", 4, 64, 2000, 4},
                   };
 
-  util::TablePrinter table({"config", "models", "sched", "time (s)",
-                            "queries/s", "speedup", "rows saved",
-                            "models/window"});
+  util::TablePrinter table({"config", "models", "time (s)", "queries/s",
+                            "speedup", "rows/query", "models/window"});
   JsonReport report("server_throughput");
   double unbatched_qps = 0.0;
   double batched_single_qps = 0.0;
-  // qps by num_models for the shared-vs-per-group verdict.
-  std::vector<double> shared_qps(kMaxModels + 1, 0.0);
-  std::vector<double> per_group_qps(kMaxModels + 1, 0.0);
   bool all_ok = true;
   for (const Config& config : configs) {
     double best_seconds = -1.0;
@@ -580,7 +564,6 @@ int main(int argc, char** argv) {
       options.window_micros = config.window_micros;
       options.default_k = kTopK;
       options.default_model = kModelNames[0];
-      options.shared_window_scoring = config.shared;
       options.num_threads = BenchThreads();
       server::QueryServer server(&indexes, &registry, options);
       auto status = server.Start();
@@ -636,22 +619,21 @@ int main(int argc, char** argv) {
       unbatched_qps = qps;
     } else if (config.num_models == 1) {
       batched_single_qps = qps;
-    } else if (config.shared) {
-      shared_qps[config.num_models] = qps;
-    } else {
-      per_group_qps[config.num_models] = qps;
     }
     const double speedup = unbatched_qps > 0.0 ? qps / unbatched_qps : 1.0;
     const double models_per_window =
         stats.windows > 0 ? static_cast<double>(stats.window_model_groups) /
                                 static_cast<double>(stats.windows)
                           : 0.0;
+    const double rows_per_query =
+        stats.queries > 0 ? static_cast<double>(stats.rows_gathered) /
+                                static_cast<double>(stats.queries)
+                          : 0.0;
     table.AddRow({config.label, std::to_string(config.num_models),
-                  config.shared ? "shared" : "per-group",
                   util::FormatDouble(best_seconds, 3),
                   util::FormatDouble(qps, 0),
                   util::FormatDouble(speedup, 2) + "x",
-                  std::to_string(stats.rows_saved_vs_per_model),
+                  util::FormatDouble(rows_per_query, 1),
                   util::FormatDouble(models_per_window, 2)});
     report.BeginRecord()
         .Str("config", config.label)
@@ -659,15 +641,12 @@ int main(int argc, char** argv) {
         .Num("max_batch", static_cast<double>(config.max_batch))
         .Num("window_micros", static_cast<double>(config.window_micros))
         .Num("num_models", static_cast<double>(config.num_models))
-        .Num("shared_window", config.shared ? 1.0 : 0.0)
         .Num("seconds", best_seconds)
         .Num("queries_per_second", qps)
         .Num("speedup_vs_unbatched", speedup)
         .Num("batches", static_cast<double>(stats.batches))
         .Num("windows", static_cast<double>(stats.windows))
         .Num("rows_gathered", static_cast<double>(stats.rows_gathered))
-        .Num("rows_saved_vs_per_model",
-             static_cast<double>(stats.rows_saved_vs_per_model))
         .Num("models_per_window", models_per_window);
     for (size_t m = 0; m < config.num_models; ++m) {
       report.Num("serves_" + std::string(kModelNames[m]),
@@ -679,27 +658,14 @@ int main(int argc, char** argv) {
   if (!c10k_only) {
     table.Print(std::cout);
 
-    // The shared-vs-per-group verdict, in the JSON next to the raw
-    // numbers.
-    for (size_t n : {size_t{2}, size_t{4}}) {
-      if (per_group_qps[n] > 0.0 && shared_qps[n] > 0.0) {
-        report.BeginRecord()
-            .Str("config", "verdict")
-            .Num("num_models", static_cast<double>(n))
-            .Num("shared_speedup_vs_per_group",
-                 shared_qps[n] / per_group_qps[n]);
-      }
-    }
-
     std::printf(
-        "\nexpected shape: batching beats unbatched everywhere; at 2+ "
-        "models the shared schedule beats per-model grouping (the "
-        "window's row union is gathered once and scored under all models "
-        "— rows saved and models/window say how much sharing each window "
-        "found); p50_ms_* in the JSON is the closed-loop single-client "
-        "latency per model. Every response is checked bitwise against "
-        "offline Query() under its model, so the two schedules are "
-        "provably byte-identical to clients.\n");
+        "\nexpected shape: batching beats unbatched everywhere; extra "
+        "models cost far less than their share of a window, because each "
+        "row a window needs is walked once for all models "
+        "(models/window says how many each window mixed); p50_ms_* in the "
+        "JSON is the closed-loop single-client latency per model. Every "
+        "response is checked bitwise against offline Query() under its "
+        "model.\n");
 
     if (!all_ok) {
       std::fprintf(stderr,
@@ -711,16 +677,6 @@ int main(int argc, char** argv) {
                    "one-query-per-request throughput (%.0f vs %.0f q/s)\n",
                    batched_single_qps, unbatched_qps);
       exit_code = 1;
-    } else {
-      for (size_t n : {size_t{2}, size_t{4}}) {
-        if (shared_qps[n] <= per_group_qps[n]) {
-          std::fprintf(stderr,
-                       "FATAL: shared-window scoring loses to per-model "
-                       "grouping at %zu models (%.0f vs %.0f q/s)\n",
-                       n, shared_qps[n], per_group_qps[n]);
-          exit_code = 1;
-        }
-      }
     }
   }
 

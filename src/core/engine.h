@@ -105,11 +105,11 @@ class SearchEngine {
                                                size_t k) const;
 
   /// Batched online phase: one top-k result per entry of `queries` (aligned,
-  /// duplicates included). Groups the index walks across the batch — every
-  /// touched node row is gathered once, pair rows are read through the
-  /// candidate-slot postings — and scores queries in parallel on the
-  /// engine's ThreadPool (options().num_threads; lazily created, hence
-  /// non-const). Result i is identical — same nodes, same scores, same
+  /// duplicates included) — BatchQueryMulti with one model. Groups the
+  /// index walks across the batch — every node row a denominator needs is
+  /// dotted once, pair rows are read through the candidate-slot postings —
+  /// and scores queries in parallel on the engine's ThreadPool
+  /// (options().num_threads; lazily created, hence non-const). Result i is identical — same nodes, same scores, same
   /// tie-break order — to Query(model, queries[i], k), for any batch
   /// composition and any thread count. Requires a finalized index.
   /// Reuses one engine-owned BatchScratch across calls (epoch-marked, so a
@@ -121,22 +121,22 @@ class SearchEngine {
       const MgpModel& model, std::span<const NodeId> queries, size_t k);
 
   /// Shared-window, multi-model batch: ranks queries[i] under
-  /// models[model_of[i]], gathering the union of the window's touched node
-  /// rows ONCE and scoring each gathered row under every model in a single
-  /// walk through the multi-weight score kernels (see
-  /// BatchRankByProximityMulti). Result i is bitwise identical to
+  /// models[model_of[i]], walking each row the window needs ONCE and
+  /// scoring it under every model through the multi-weight score kernels
+  /// (see BatchRankByProximityMulti). Result i is bitwise identical to
   /// Query(model_of[i]'s model, queries[i], k) — same contract as
   /// BatchQuery, extended over the model axis — for any window
   /// composition, model mix, thread count and kernel. Same pool/scratch
   /// behavior as BatchQuery (engine-owned scratch; not self-concurrent).
-  /// With a non-null `stats`, fills the gather-amortization counters.
+  /// With a non-null `stats`, fills the window's row count.
   ///
   /// Multi-model serving sits entirely above these calls: weights are
   /// per-call arguments, so one engine (one finalized index) serves any
   /// number of per-class models — server::QueryServer's batcher issues one
-  /// BatchQueryMulti per k-group of each accumulation window (however many
-  /// models the window mixes), with model snapshots published/hot-swapped
-  /// by server::ModelRegistry and persisted via learning/model_io.h.
+  /// BatchQueryMulti per index snapshot of each accumulation window
+  /// (however many models and k values the window mixes), with model
+  /// snapshots published/hot-swapped by server::ModelRegistry and
+  /// persisted via learning/model_io.h.
   std::vector<std::vector<std::pair<NodeId, double>>> BatchQueryMulti(
       std::span<const std::span<const double>> models,
       std::span<const NodeId> queries, std::span<const uint32_t> model_of,

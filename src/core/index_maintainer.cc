@@ -135,6 +135,21 @@ util::StatusOr<std::shared_ptr<const IndexSnapshot>> IndexMaintainer::Refresh(
   local.appended_nodes = pending_.nodes.size();
   local.appended_edges = pending_.edges.size();
 
+  if (pending_.nodes.empty() && pending_.edges.empty()) {
+    // Nothing buffered: a rebuild would reproduce today's bytes, so the
+    // next generation shares the current graph, metagraph set and index.
+    ++generation_;
+    auto snapshot = std::make_shared<const IndexSnapshot>(
+        graph_, metagraphs_, index_, generation_);
+    {
+      mx::MutexLock lock(mu_);
+      snapshot_ = snapshot;
+    }
+    local.total_seconds = total.ElapsedSeconds();
+    if (stats != nullptr) *stats = local;
+    return snapshot;
+  }
+
   std::vector<uint32_t> affected =
       AffectedMetagraphs(*graph_, *metagraphs_, pending_);
   affected.erase(std::remove_if(affected.begin(), affected.end(),

@@ -135,9 +135,10 @@ class IndexMaintainer {
   util::Status Append(const GraphDelta& delta);
 
   /// Applies the buffered appends and publishes a new snapshot generation
-  /// (also returned). With no buffered appends this still republishes —
-  /// the result is an identical index one generation later. On error the
-  /// buffered appends are kept and the published snapshot is unchanged.
+  /// (also returned). With no buffered appends it still publishes the next
+  /// generation, sharing the current graph, metagraph set and index
+  /// (nothing is rebuilt). On error the buffered appends are kept and the
+  /// published snapshot is unchanged.
   util::StatusOr<std::shared_ptr<const IndexSnapshot>> Refresh(
       RefreshStats* stats = nullptr) MX_EXCLUDES(mu_);
 

@@ -9,38 +9,6 @@
 #include "util/parallel_for.h"
 
 namespace metaprox {
-namespace {
-
-// Scores one query against its candidate postings, reading every m_x . w
-// from the batch-wide cache and every pair row through its finalized slot.
-// The arithmetic mirrors RankByProximity term for term (same accumulation
-// order inside each dot, same guards, same ranking order), which is what
-// makes the batched results bitwise-identical to the sequential path.
-QueryResult ScoreOne(const MetagraphVectorIndex& index,
-                     std::span<const double> weights, NodeId q, size_t k,
-                     const BatchScratch& scratch) {
-  const std::span<const NodeId> candidates = index.Candidates(q);
-  const std::span<const uint32_t> slots = index.CandidateSlots(q);
-  QueryResult scored;
-  scored.reserve(candidates.size());
-  const double q_dot = scratch.NodeDot(q);
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const NodeId y = candidates[i];
-    if (y == q) continue;
-    const double numer = 2.0 * index.SlotDot(slots[i], weights);
-    if (numer <= 0.0) continue;
-    const double denom = q_dot + scratch.NodeDot(y);
-    if (denom <= 0.0) continue;
-    scored.emplace_back(y, numer / denom);
-  }
-  const size_t take = std::min(k, scored.size());
-  std::partial_sort(scored.begin(), scored.begin() + static_cast<int64_t>(take),
-                    scored.end(), ProximityRankBefore);
-  scored.resize(take);
-  return scored;
-}
-
-}  // namespace
 
 void BatchScratch::BeginBatch(size_t num_nodes, size_t num_models) {
   MX_CHECK(num_models >= 1);
@@ -62,65 +30,6 @@ void BatchScratch::BeginBatch(size_t num_nodes, size_t num_models) {
   touched_.reserve(touched_high_water_);
 }
 
-std::vector<QueryResult> BatchRankByProximity(
-    const MetagraphVectorIndex& index, std::span<const double> weights,
-    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool,
-    BatchScratch* scratch) {
-  std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) return results;
-
-  const size_t num_nodes = index.num_graph_nodes();
-  for (NodeId q : queries) MX_CHECK(q < num_nodes);
-
-  // One-shot callers pay a fresh allocation here, exactly like the old
-  // dense scratch; callers in a serving loop pass a long-lived scratch and
-  // pay only for the rows this batch actually touches.
-  BatchScratch local_scratch;
-  if (scratch == nullptr) scratch = &local_scratch;
-  scratch->BeginBatch(num_nodes);
-
-  // Duplicate query nodes are scored once: collapse to a sorted unique set
-  // (sorted so the scatter below can binary-search its way back).
-  std::vector<NodeId> uniq(queries.begin(), queries.end());
-  std::sort(uniq.begin(), uniq.end());
-  uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
-
-  // Every node row the batch will read — the queries plus all their
-  // candidates — is marked once in the scratch, however many candidate
-  // sets share it. Marking is epoch-based: a batch touching T rows costs
-  // O(T), not O(|V|), no matter how large the graph.
-  for (NodeId q : uniq) {
-    scratch->MarkTouched(q);
-    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-  }
-
-  // Gather pass: each touched row's m_x . w exactly once, cached in the
-  // scratch for O(1) reads while scoring. Chunks write disjoint entries
-  // (the touched list is duplicate-free), so no synchronization.
-  const std::span<const NodeId> nodes = scratch->touched();
-  util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      scratch->SetNodeDot(nodes[i], index.NodeDot(nodes[i], weights));
-    }
-  });
-
-  // Scoring pass: one independent top-k per unique query.
-  std::vector<QueryResult> uniq_results(uniq.size());
-  util::ParallelChunks(pool, uniq.size(), [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      uniq_results[i] = ScoreOne(index, weights, uniq[i], k, *scratch);
-    }
-  });
-
-  // Scatter back into batch order; duplicates copy the shared result.
-  for (size_t i = 0; i < queries.size(); ++i) {
-    const size_t pos = static_cast<size_t>(
-        std::lower_bound(uniq.begin(), uniq.end(), queries[i]) - uniq.begin());
-    results[i] = uniq_results[pos];
-  }
-  return results;
-}
-
 std::vector<QueryResult> BatchRankByProximityMulti(
     const MetagraphVectorIndex& index,
     std::span<const std::span<const double>> models,
@@ -133,12 +42,10 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   for (std::span<const double> w : models) {
     MX_CHECK(w.size() == index.num_metagraphs());
   }
+  if (stats != nullptr) *stats = BatchMultiStats{};
 
   std::vector<QueryResult> results(queries.size());
-  if (queries.empty()) {
-    if (stats != nullptr) *stats = BatchMultiStats{};
-    return results;
-  }
+  if (queries.empty()) return results;
 
   const size_t num_nodes = index.num_graph_nodes();
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -146,13 +53,15 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     MX_CHECK(model_of[i] < n_models);
   }
 
+  // One-shot callers pay a fresh O(|V|) allocation here; callers in a
+  // serving loop pass a long-lived scratch and pay only for the rows this
+  // batch actually touches.
   BatchScratch local_scratch;
   if (scratch == nullptr) scratch = &local_scratch;
 
   // Duplicates of a (query, model) pair share one scored result: collapse
   // to sorted unique pairs. Sorting by (node, model) also groups a node's
-  // model memberships contiguously for the scoring pass, and keeps the
-  // scatter a binary search.
+  // models contiguously, and keeps the scatter a binary search.
   std::vector<std::pair<NodeId, uint32_t>> uniq;
   uniq.reserve(queries.size());
   for (size_t i = 0; i < queries.size(); ++i) {
@@ -161,47 +70,71 @@ std::vector<QueryResult> BatchRankByProximityMulti(
   std::sort(uniq.begin(), uniq.end());
   uniq.erase(std::unique(uniq.begin(), uniq.end()), uniq.end());
 
-  // Unique query NODES (a node queried under several models still gathers
-  // once); uniq is sorted by node first, so this falls out in order.
-  std::vector<NodeId> qnodes;
-  qnodes.reserve(uniq.size());
-  for (const auto& [q, m] : uniq) {
-    if (qnodes.empty() || qnodes.back() != q) qnodes.push_back(q);
+  // One group per distinct query node: group g spans
+  // uniq[group_begin[g] .. group_begin[g + 1]) (sentinel at the end).
+  std::vector<size_t> group_begin;
+  for (size_t i = 0; i < uniq.size(); ++i) {
+    if (i == 0 || uniq[i].first != uniq[i - 1].first) group_begin.push_back(i);
   }
-
-  // Optional what-if accounting: how many rows N independent per-model
-  // BatchRankByProximity calls would have gathered for this same window.
-  // Costs one extra marking walk per model, no dots — only taken when the
-  // caller wants the counters.
-  if (stats != nullptr) {
-    *stats = BatchMultiStats{};
-    for (uint32_t m = 0; m < n_models; ++m) {
-      scratch->BeginBatch(num_nodes);
-      for (const auto& [q, qm] : uniq) {
-        if (qm != m) continue;
-        scratch->MarkTouched(q);
-        for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-      }
-      stats->rows_per_model += scratch->touched().size();
-    }
-  }
-
-  // The shared window: mark the UNION of every query's touched rows, once.
-  scratch->BeginBatch(num_nodes, n_models);
-  for (NodeId q : qnodes) {
-    scratch->MarkTouched(q);
-    for (NodeId y : index.Candidates(q)) scratch->MarkTouched(y);
-  }
+  group_begin.push_back(uniq.size());
+  const size_t n_groups = group_begin.size() - 1;
 
   kernels::MultiWeightSet wset;
   wset.Assign(models);
+  const kernels::RowTransform transform = index.row_transform();
 
-  // Gather pass, all models at once: each touched row is walked (and its
-  // count transform computed) exactly once, filling the row's n_models
-  // cached dots through the multi-weight kernel.
+  // Pair pass: walk each query node's candidate postings once, scoring
+  // each pair row under all models in one kernel call. A candidate
+  // survives when its numerator is > 0 under at least one of the group's
+  // models — the oracle's first guard — and keeps one numerator per
+  // member: numers[c * members + j].
+  struct Survivors {
+    std::vector<NodeId> nodes;
+    std::vector<double> numers;
+  };
+  std::vector<Survivors> survivors(n_groups);
+  util::ParallelChunks(pool, n_groups, [&](size_t begin, size_t end) {
+    std::vector<double> lanes(wset.lane_scratch_size());
+    std::vector<double> pair_dots(n_models);
+    for (size_t g = begin; g < end; ++g) {
+      const NodeId q = uniq[group_begin[g]].first;
+      const std::span<const NodeId> candidates = index.Candidates(q);
+      const std::span<const uint32_t> slots = index.CandidateSlots(q);
+      Survivors& s = survivors[g];
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        if (candidates[i] == q) continue;
+        kernels::RowDotMulti(index.PairRow(slots[i]), wset, transform,
+                             pair_dots.data(), lanes.data());
+        const size_t mark = s.numers.size();
+        bool any = false;
+        for (size_t j = group_begin[g]; j < group_begin[g + 1]; ++j) {
+          const double numer = 2.0 * pair_dots[uniq[j].second];
+          s.numers.push_back(numer);
+          any |= numer > 0.0;
+        }
+        if (any) {
+          s.nodes.push_back(candidates[i]);
+        } else {
+          s.numers.resize(mark);
+        }
+      }
+    }
+  });
+
+  // Mark the node rows the denominators will read: every survivor and its
+  // query node, once each however many groups share it. Marking stays on
+  // this thread (the scratch's contract).
+  scratch->BeginBatch(num_nodes, n_models);
+  for (size_t g = 0; g < n_groups; ++g) {
+    if (survivors[g].nodes.empty()) continue;
+    scratch->MarkTouched(uniq[group_begin[g]].first);
+    for (NodeId y : survivors[g].nodes) scratch->MarkTouched(y);
+  }
+
+  // Node pass: each marked row's m_x . w under all models, one walk per
+  // row. Chunks write disjoint rows (the touched list is duplicate-free).
   const std::span<const NodeId> nodes = scratch->touched();
   if (stats != nullptr) stats->rows_gathered = nodes.size();
-  const kernels::RowTransform transform = index.row_transform();
   util::ParallelChunks(pool, nodes.size(), [&](size_t begin, size_t end) {
     std::vector<double> lanes(wset.lane_scratch_size());
     for (size_t i = begin; i < end; ++i) {
@@ -210,101 +143,32 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     }
   });
 
-  // Pair rows between two query nodes of the window are read by both
-  // endpoints' scorings: precompute those once for all models. Collected
-  // from both directions and de-duplicated by slot, so a symmetric slot is
-  // dotted exactly once however the index numbered it.
-  std::vector<uint32_t> shared_slots;
-  for (NodeId q : qnodes) {
-    const std::span<const NodeId> candidates = index.Candidates(q);
-    const std::span<const uint32_t> slots = index.CandidateSlots(q);
-    for (size_t i = 0; i < candidates.size(); ++i) {
-      const NodeId y = candidates[i];
-      if (y == q) continue;
-      if (std::binary_search(qnodes.begin(), qnodes.end(), y)) {
-        shared_slots.push_back(slots[i]);
-      }
-    }
-  }
-  std::sort(shared_slots.begin(), shared_slots.end());
-  shared_slots.erase(std::unique(shared_slots.begin(), shared_slots.end()),
-                     shared_slots.end());
-  if (stats != nullptr) stats->shared_pair_rows = shared_slots.size();
-
-  std::vector<double> shared_dots(shared_slots.size() * n_models);
-  util::ParallelChunks(pool, shared_slots.size(), [&](size_t begin,
-                                                      size_t end) {
-    std::vector<double> lanes(wset.lane_scratch_size());
-    for (size_t i = begin; i < end; ++i) {
-      kernels::RowDotMulti(index.PairRow(shared_slots[i]), wset, transform,
-                           shared_dots.data() + i * n_models, lanes.data());
-    }
-  });
-
-  // Offsets of each node's run of (node, model) members in uniq, with a
-  // sentinel: group g (aligned with qnodes) spans
-  // uniq[group_begin[g] .. group_begin[g + 1]).
-  std::vector<size_t> group_begin;
-  group_begin.reserve(qnodes.size() + 1);
-  for (size_t i = 0; i < uniq.size(); ++i) {
-    if (i == 0 || uniq[i].first != uniq[i - 1].first) group_begin.push_back(i);
-  }
-  group_begin.push_back(uniq.size());
-
-  // Scoring pass: one group per query node, walking its candidate postings
-  // ONCE for all member models. Each candidate's pair row yields its
-  // n_models dots in one kernel call (or a precomputed shared-slot read),
-  // then every member applies ScoreOne's exact guards and arithmetic under
-  // its own model — so member (q, m)'s result is bitwise ScoreOne(q)
-  // under weights m.
+  // Scoring pass: each (query, model) applies RankByProximity's guards,
+  // arithmetic and ranking order to its group's survivors.
   std::vector<QueryResult> uniq_results(uniq.size());
-  util::ParallelChunks(pool, qnodes.size(), [&](size_t begin, size_t end) {
-    std::vector<double> lanes(wset.lane_scratch_size());
-    std::vector<double> local_dots(n_models);
+  util::ParallelChunks(pool, n_groups, [&](size_t begin, size_t end) {
     for (size_t g = begin; g < end; ++g) {
-      const NodeId q = qnodes[g];
-      const size_t members_begin = group_begin[g];
-      const size_t members_end = group_begin[g + 1];
-      const size_t members = members_end - members_begin;
-      const std::span<const NodeId> candidates = index.Candidates(q);
-      const std::span<const uint32_t> slots = index.CandidateSlots(q);
-      const double* q_dots = scratch->NodeDots(q);
-
-      std::vector<QueryResult> scored(members);
-      for (QueryResult& s : scored) s.reserve(candidates.size());
-
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const NodeId y = candidates[i];
-        if (y == q) continue;
-        const double* pair_dots;
-        const auto it = std::lower_bound(shared_slots.begin(),
-                                         shared_slots.end(), slots[i]);
-        if (it != shared_slots.end() && *it == slots[i]) {
-          pair_dots = shared_dots.data() +
-                      static_cast<size_t>(it - shared_slots.begin()) * n_models;
-        } else {
-          kernels::RowDotMulti(index.PairRow(slots[i]), wset, transform,
-                               local_dots.data(), lanes.data());
-          pair_dots = local_dots.data();
-        }
-        const double* y_dots = scratch->NodeDots(y);
-        for (size_t j = 0; j < members; ++j) {
-          const uint32_t m = uniq[members_begin + j].second;
-          const double numer = 2.0 * pair_dots[m];
-          if (numer <= 0.0) continue;
-          const double denom = q_dots[m] + y_dots[m];
-          if (denom <= 0.0) continue;
-          scored[j].emplace_back(y, numer / denom);
-        }
-      }
-
+      const Survivors& s = survivors[g];
+      if (s.nodes.empty()) continue;
+      const size_t first = group_begin[g];
+      const size_t members = group_begin[g + 1] - first;
+      const double* q_dots = scratch->NodeDots(uniq[first].first);
       for (size_t j = 0; j < members; ++j) {
-        QueryResult& s = scored[j];
-        const size_t take = std::min(k, s.size());
-        std::partial_sort(s.begin(), s.begin() + static_cast<int64_t>(take),
-                          s.end(), ProximityRankBefore);
-        s.resize(take);
-        uniq_results[members_begin + j] = std::move(s);
+        const uint32_t m = uniq[first + j].second;
+        QueryResult& scored = uniq_results[first + j];
+        scored.reserve(s.nodes.size());
+        for (size_t c = 0; c < s.nodes.size(); ++c) {
+          const double numer = s.numers[c * members + j];
+          if (numer <= 0.0) continue;
+          const double denom = q_dots[m] + scratch->NodeDots(s.nodes[c])[m];
+          if (denom <= 0.0) continue;
+          scored.emplace_back(s.nodes[c], numer / denom);
+        }
+        const size_t take = std::min(k, scored.size());
+        std::partial_sort(scored.begin(),
+                          scored.begin() + static_cast<int64_t>(take),
+                          scored.end(), ProximityRankBefore);
+        scored.resize(take);
       }
     }
   });
@@ -317,6 +181,16 @@ std::vector<QueryResult> BatchRankByProximityMulti(
     results[i] = uniq_results[pos];
   }
   return results;
+}
+
+std::vector<QueryResult> BatchRankByProximity(
+    const MetagraphVectorIndex& index, std::span<const double> weights,
+    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool,
+    BatchScratch* scratch) {
+  const std::span<const double> models[] = {weights};
+  const std::vector<uint32_t> model_of(queries.size(), 0);
+  return BatchRankByProximityMulti(index, models, queries, model_of, k, pool,
+                                   scratch);
 }
 
 }  // namespace metaprox

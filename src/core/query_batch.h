@@ -2,39 +2,40 @@
 // vector index in one pass, amortizing the index walks a per-query
 // SearchEngine::Query() repays on every call.
 //
-// What a batch amortizes:
-//   * duplicate query nodes are scored once and their result copied;
-//   * every node row touched by the batch (queries plus all their
-//     candidates) has m_x . w computed exactly once, instead of once per
-//     query that reaches it — candidate sets of related queries overlap
-//     heavily, so this is the dominant saving;
-//   * pair rows are read through the index's candidate-slot postings
-//     (MetagraphVectorIndex::CandidateSlots/SlotDot), a direct array walk
-//     with no per-pair hash probe;
-//   * distinct queries score independently, so the scoring pass fans out
-//     over a util::ThreadPool.
+// There is ONE batched scorer, BatchRankByProximityMulti; the
+// single-model BatchRankByProximity is a wrapper that calls it with one
+// model. RankByProximity (learning/proximity.h), which Query() and
+// training use, stays the paper-literal oracle every batched result is
+// held bitwise equal to. The core follows the oracle's guard order:
 //
-// The MULTI entry point (BatchRankByProximityMulti) extends the batch
-// across weight vectors — gather once, score many: a window mixing N
-// models runs ONE node-dedup + row-gather pass over the union of every
-// query's touched rows, and each gathered row is scored under all N
-// weight vectors in one walk through the multi-weight score kernels
-// (core/score_kernels.h, interleaved weights, one transform per entry),
-// driving the marginal cost of an extra model toward one fma per row
-// entry. Pair rows shared between two queries of the window (q1, q2
-// mutual candidates) are likewise walked once for all models.
+//   1. duplicate (query, model) pairs are collapsed and scored once;
+//   2. pair dots first: each query node's candidate postings are walked
+//      once, and each candidate's pair row (read through its finalized
+//      slot, no hash probe) is scored under every model of that node's
+//      queries in one multi-weight kernel call (core/score_kernels.h);
+//   3. node dots on demand: a candidate whose numerator is <= 0 under
+//      every one of those models is dropped, exactly as the oracle skips
+//      its m_y . w. Only the survivors and their query nodes are marked in
+//      the epoch-marked BatchScratch, and each marked row's m_x . w is
+//      computed once for all models, however many candidate sets share
+//      it;
+//   4. each (query, model) applies the oracle's denominator guard and
+//      ranking order to its survivors.
+//
+// Callers that serve several k at once rank at the largest k and cut each
+// answer to its own k: ProximityRankBefore is a total order, so the top-k
+// for a smaller k is a prefix of the top-k for a larger one.
 //
 // Determinism contract (the batched counterpart of the offline pipeline's
-// contract in docs/ARCHITECTURE.md): for any batch composition and any
-// thread count, result i is IDENTICAL — same nodes, same (bitwise) scores,
-// same tie-break order — to RankByProximity(index, weights, queries[i],
-// Candidates(queries[i]), k), i.e. to what SearchEngine::Query(model,
-// queries[i], k) returns; for the multi path, under queries[i]'s OWN model
-// (weights = models[model_of[i]]). Every dot product — per-query, batched,
-// multi, scalar or SIMD — evaluates through the same score kernel with the
-// same canonical accumulation, and the shared ProximityRankBefore order is
-// total, so neither parallelism nor kernel dispatch has anything to
-// reorder.
+// contract in docs/ARCHITECTURE.md): for any batch composition, model mix
+// and thread count, result i is IDENTICAL — same nodes, same (bitwise)
+// scores, same tie-break order — to RankByProximity(index,
+// models[model_of[i]], queries[i], Candidates(queries[i]), k), i.e. to
+// what SearchEngine::Query(model, queries[i], k) returns. Every dot
+// product — per-query or batched, scalar or SIMD — evaluates through the
+// same score kernel with the same canonical accumulation, and the shared
+// ProximityRankBefore order is total, so neither parallelism nor kernel
+// dispatch has anything to reorder.
 #ifndef METAPROX_CORE_QUERY_BATCH_H_
 #define METAPROX_CORE_QUERY_BATCH_H_
 
@@ -55,17 +56,16 @@ namespace metaprox {
 using QueryResult = std::vector<std::pair<NodeId, double>>;
 
 /// Reusable epoch-marked scratch for the batched online path: the
-/// batch-wide node dedup mark and node-dot cache, dense over the graph's
-/// nodes but allocated once and never cleared between batches.
-/// BeginBatch() bumps an epoch instead of zeroing, so a long-lived caller
-/// (the query server's batch loop, SearchEngine::BatchQuery) pays O(rows
-/// touched) per batch — not O(|V|) — which is what makes tiny batches on
+/// batch-wide node mark and node-dot cache, dense over the graph's nodes
+/// but allocated once and never cleared between batches. BeginBatch()
+/// bumps an epoch instead of zeroing, so a long-lived caller (the query
+/// server's batch loop, SearchEngine::BatchQuery) pays O(rows touched) per
+/// batch — not O(|V|) — which is what makes tiny batches on
 /// multi-million-node graphs cheap.
 ///
-/// Multi-model batches widen the dot cache: BeginBatch(n, m) lays the
-/// cache out as node_dots_[x * m + model], still epoch-marked per NODE
-/// (one gather fills a row's m dots together). The cache grows
-/// monotonically to the largest (nodes x models) seen and the epoch
+/// The cache holds num_models dots per node (node_dots_[x * m + model]),
+/// epoch-marked per NODE (one gather fills a row's m dots together). It
+/// grows monotonically to the largest (nodes x models) seen and the epoch
 /// expires stale layouts, so alternating single- and multi-model batches
 /// never reallocates back and forth.
 ///
@@ -110,21 +110,11 @@ class BatchScratch {
   /// Models per node this batch caches (BeginBatch's num_models).
   size_t num_models() const { return num_models_; }
 
-  /// Caches / reads m_x . w for a row marked in the current batch (model
-  /// 0 when the batch is multi-model). Reading an unmarked row is a bug
-  /// (the slot may hold a stale dot from an earlier batch); debug builds
-  /// check (MX_DCHECK).
-  void SetNodeDot(NodeId x, double dot) {
-    node_dots_[static_cast<size_t>(x) * num_models_] = dot;
-  }
-  double NodeDot(NodeId x) const {
-    MX_DCHECK(epoch_of_[x] == epoch_);
-    return node_dots_[static_cast<size_t>(x) * num_models_];
-  }
-
   /// The num_models()-wide dot row of a marked node: NodeDots(x)[m] is
   /// m_x . w_m. MutableNodeDots is the gather pass's write target (rows of
-  /// distinct nodes may be written concurrently).
+  /// distinct nodes may be written concurrently). Reading an unmarked row
+  /// is a bug (it may hold stale dots from an earlier batch); debug builds
+  /// check (MX_DCHECK).
   double* MutableNodeDots(NodeId x) {
     return node_dots_.data() + static_cast<size_t>(x) * num_models_;
   }
@@ -142,51 +132,36 @@ class BatchScratch {
   size_t touched_high_water_ = 0;  // max touched_.size() across batches
 };
 
-/// Ranks every query of `queries` by descending pi(q, .; weights) over its
-/// candidate set, returning one QueryResult per query (aligned with
-/// `queries`, duplicates included). Requires a finalized index. With a
-/// non-null `pool` the per-query scoring runs on its workers; the results
-/// are identical for any pool size, including none. With a non-null
-/// `scratch` the batch reuses that scratch's tables instead of allocating
-/// O(|V|) fresh ones — results are identical either way, whatever earlier
-/// batches the scratch served.
-std::vector<QueryResult> BatchRankByProximity(
-    const MetagraphVectorIndex& index, std::span<const double> weights,
-    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool = nullptr,
-    BatchScratch* scratch = nullptr);
-
-/// Gather-amortization accounting of one BatchRankByProximityMulti call,
-/// for callers (the query server, benches) that surface the shared-window
-/// saving. Filled only when requested (the what-if pass costs extra
-/// candidate walks).
+/// Accounting of one BatchRankByProximityMulti call, for callers (the
+/// query server, benches) that surface what a window cost.
 struct BatchMultiStats {
-  /// Node rows the shared window gathered (dotted once, all models).
+  /// Node rows the window dotted (once each, under all models): the query
+  /// nodes and candidates that survived the pair-dot guard.
   uint64_t rows_gathered = 0;
-  /// Node rows N per-model BatchRankByProximity calls would have gathered
-  /// for the same window (the sum over models of each model's own union).
-  /// rows_per_model - rows_gathered is the saving; equal when one model.
-  uint64_t rows_per_model = 0;
-  /// Pair rows between two query nodes of the window, precomputed once
-  /// for all models instead of once per endpoint per model.
-  uint64_t shared_pair_rows = 0;
 };
 
-/// The shared-window, multi-model batch: ranks queries[i] under
-/// models[model_of[i]] (N weight vectors, each of the index's weight
-/// count), gathering the union of touched node rows ONCE and scoring every
-/// gathered row under all N models through the multi-weight score
-/// kernels. Result i is identical — same nodes, same bitwise scores, same
-/// tie-break order — to the per-query path under model_of[i]'s weights,
-/// and therefore to per-model BatchRankByProximity, for any window
-/// composition, model mix, thread count and kernel. `model_of` is aligned
-/// with `queries`; duplicates of a (query, model) pair share one scored
-/// result. Pool/scratch semantics as above.
+/// The batched scorer: ranks queries[i] under models[model_of[i]] (N
+/// weight vectors, each of the index's weight count) over its candidate
+/// set, returning one QueryResult per query (aligned with `queries`,
+/// duplicates included). Requires a finalized index. Result i is
+/// identical — same nodes, same bitwise scores, same tie-break order — to
+/// RankByProximity under model_of[i]'s weights, for any window
+/// composition, model mix, thread count and kernel. With a non-null
+/// `pool` the passes run on its workers; with a non-null `scratch` the
+/// batch reuses that scratch's tables instead of allocating O(|V|) fresh
+/// ones. Neither changes any result.
 std::vector<QueryResult> BatchRankByProximityMulti(
     const MetagraphVectorIndex& index,
     std::span<const std::span<const double>> models,
     std::span<const NodeId> queries, std::span<const uint32_t> model_of,
     size_t k, util::ThreadPool* pool = nullptr, BatchScratch* scratch = nullptr,
     BatchMultiStats* stats = nullptr);
+
+/// BatchRankByProximityMulti with one model for every query.
+std::vector<QueryResult> BatchRankByProximity(
+    const MetagraphVectorIndex& index, std::span<const double> weights,
+    std::span<const NodeId> queries, size_t k, util::ThreadPool* pool = nullptr,
+    BatchScratch* scratch = nullptr);
 
 }  // namespace metaprox
 

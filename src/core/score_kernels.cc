@@ -198,6 +198,13 @@ double RowDot(std::span<const RowEntry> row, std::span<const double> weights,
 
 void RowDotMulti(std::span<const RowEntry> row, const MultiWeightSet& weights,
                  RowTransform transform, double* out, double* lanes) {
+  if (weights.num_models() == 1) {
+    // One model: the interleaved matrix is that model's weight vector,
+    // and the single-weight kernel (SIMD gathers) returns the same bits.
+    out[0] = GetDispatch().row_dot(
+        row, std::span(weights.row(0), weights.num_weights()), transform);
+    return;
+  }
   GetDispatch().row_dot_multi(row, weights, transform, out, lanes);
 }
 

@@ -127,7 +127,7 @@ class MultiWeightSet {
 /// weights.lane_scratch_size() doubles (scratch so the hot path never
 /// allocates; one per worker thread, reused across rows). Bitwise
 /// contract: out[m] == RowDot(row, w_m, transform) for every m, under
-/// either kernel.
+/// either kernel. With one model it runs RowDot's kernel itself.
 void RowDotMulti(std::span<const RowEntry> row, const MultiWeightSet& weights,
                  RowTransform transform, double* out, double* lanes);
 

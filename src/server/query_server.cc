@@ -358,7 +358,7 @@ bool QueryServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                   std::to_string(options_.max_k));
     return true;
   }
-  // Validate here, not in the batcher: BatchQuery MX_CHECKs its node
+  // Validate here, not in the batcher: BatchQueryMulti MX_CHECKs its node
   // ids, and a bad remote request must be an 'E' response, not a crash.
   // The registry only ever publishes graphs that grow (Publish refuses
   // shrinks), so a node valid now stays valid for the snapshot the query
@@ -650,7 +650,7 @@ std::string QueryServer::BuildStatsResponse() {
          std::to_string(s.largest_batch) + ' ' +
          std::to_string(s.protocol_errors) + ' ' +
          std::to_string(s.windows) + ' ' + std::to_string(s.rows_gathered) +
-         ' ' + std::to_string(s.rows_saved_vs_per_model) + ' ' +
+         " 0 " +  // field 8: retired, always 0
          std::to_string(s.window_model_groups) + ' ' +
          std::to_string(s.slow_consumer_evictions) + ' ' +
          std::to_string(s.pipeline_refused) + ' ' +
@@ -721,19 +721,17 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     }
   }
 
-  // Shared-window scoring: one BatchQueryMulti per distinct (index
-  // snapshot, k) in the window, carrying EVERY model the group mixes —
-  // the snapshot gathers the union of the group's touched rows once and
-  // scores each row under all its models. Identity keys on the snapshot
+  // One BatchQueryMulti per distinct index snapshot in the window,
+  // carrying EVERY model the group mixes, ranked once at the group's
+  // largest k: ProximityRankBefore is a total order, so each response is
+  // the prefix of that ranking at its own k. Identity keys on the snapshot
   // POINTERS: two queries sharing a model slot provably score under
   // identical weights, and a query that pinned a pre-RELOAD model (or a
   // pre-REFRESH index generation) simply rides along as its own column
   // (or its own group) — determinism per request, whatever the
-  // interleaving. With shared_window_scoring off, the legacy schedule
-  // (one BatchQuery per (index, model, k) group) ranks the same window
-  // to the same bytes, one model at a time.
+  // interleaving.
   struct Group {
-    size_t k = 0;
+    size_t k = 0;                          // largest k of the group
     const IndexSnapshot* index = nullptr;  // kept alive by batch entries
     // Distinct snapshots of this group, first-appearance order; model_of
     // indexes into it, aligned with nodes.
@@ -742,7 +740,6 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     std::vector<uint32_t> model_of;
     std::vector<QueryResult> results;
   };
-  const bool shared = options_.shared_window_scoring;
   std::vector<Group> groups;
   std::vector<std::pair<size_t, size_t>> member_of(batch.size());
   for (size_t i = 0; i < batch.size(); ++i) {
@@ -750,18 +747,13 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     const ServableModel* model = batch[i].model.get();
     const IndexSnapshot* index = batch[i].index.get();
     size_t g = 0;
-    while (g < groups.size() &&
-           (groups[g].k != batch[i].k || groups[g].index != index ||
-            (!shared && groups[g].models[0] != model))) {
-      ++g;
-    }
+    while (g < groups.size() && groups[g].index != index) ++g;
     if (g == groups.size()) {
       groups.emplace_back();
-      groups.back().k = batch[i].k;
       groups.back().index = index;
-      if (!shared) groups.back().models.push_back(model);
     }
     Group& group = groups[g];
+    group.k = std::max(group.k, batch[i].k);
     uint32_t m = 0;
     while (m < group.models.size() && group.models[m] != model) ++m;
     if (m == group.models.size()) group.models.push_back(model);
@@ -770,70 +762,39 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
     group.model_of.push_back(m);
   }
 
-  // Distinct snapshots across the whole window, for the models_per_window
-  // counter (same value either schedule).
   size_t window_models = 0;
-  for (const Group& group : groups) window_models += group.models.size();
-  if (!shared) {
-    // Legacy groups split one snapshot across k values; count distinct
-    // snapshots window-wide instead so the two schedules report the same
-    // mix.
-    std::vector<const ServableModel*> distinct;
-    for (size_t i = 0; i < batch.size(); ++i) {
-      if (expired[i]) continue;
-      const ServableModel* model = batch[i].model.get();
-      if (std::find(distinct.begin(), distinct.end(), model) ==
-          distinct.end()) {
-        distinct.push_back(model);
-      }
-    }
-    window_models = distinct.size();
-  }
-
   for (Group& group : groups) {
     // The batcher is the pool/scratch's only user; each call ranks on the
     // group's pinned snapshot (stateless, so sharing one scratch across
     // generations is fine — it is epoch-marked per call).
-    BatchMultiStats mstats;
-    if (shared) {
-      std::vector<std::span<const double>> weights;
-      weights.reserve(group.models.size());
-      for (const ServableModel* model : group.models) {
-        weights.push_back(model->model.weights);
-      }
-      group.results = group.index->BatchQueryMulti(
-          weights, group.nodes, group.model_of, group.k, pool_.get(),
-          &batch_scratch_, &mstats);
-      std::vector<uint64_t> served(group.models.size(), 0);
-      for (uint32_t m : group.model_of) ++served[m];
-      for (size_t m = 0; m < group.models.size(); ++m) {
-        group.models[m]->CountServed(served[m]);
-      }
-    } else {
-      group.results =
-          group.index->BatchQuery(group.models[0]->model, group.nodes,
-                                  group.k, pool_.get(), &batch_scratch_);
-      group.models[0]->CountServed(group.nodes.size());
+    std::vector<std::span<const double>> weights;
+    weights.reserve(group.models.size());
+    for (const ServableModel* model : group.models) {
+      weights.push_back(model->model.weights);
     }
+    BatchMultiStats mstats;
+    group.results = group.index->BatchQueryMulti(
+        weights, group.nodes, group.model_of, group.k, pool_.get(),
+        &batch_scratch_, &mstats);
+    std::vector<uint64_t> served(group.models.size(), 0);
+    for (uint32_t m : group.model_of) ++served[m];
+    for (size_t m = 0; m < group.models.size(); ++m) {
+      group.models[m]->CountServed(served[m]);
+    }
+    window_models += group.models.size();
     mx::MutexLock lock(stats_mu_);
     ++stats_.batches;
     stats_.largest_batch =
         std::max<uint64_t>(stats_.largest_batch, group.nodes.size());
     stats_.rows_gathered += mstats.rows_gathered;
-    stats_.rows_saved_vs_per_model +=
-        mstats.rows_per_model - mstats.rows_gathered;
   }
 
+  // Count the window as served BEFORE the responses go out: a client that
+  // reads its last response and immediately asks for stats must see it.
   {
     mx::MutexLock lock(stats_mu_);
     ++stats_.windows;
     stats_.window_model_groups += window_models;
-  }
-
-  // Count the batch as served BEFORE the responses go out: a client that
-  // reads its last response and immediately asks for stats must see it.
-  {
-    mx::MutexLock lock(stats_mu_);
     stats_.queries += batch.size() - n_expired;
     stats_.deadline_expired += n_expired;
     stats_.protocol_errors += n_expired;
@@ -849,7 +810,10 @@ void QueryServer::RankAndRespond(std::vector<PendingQuery> batch) {
                                 "query waited past the server deadline");
     } else {
       const auto [g, pos] = member_of[i];
-      line = BuildQueryResponse(batch[i].node, groups[g].results[pos]);
+      const QueryResult& ranked = groups[g].results[pos];
+      line = BuildQueryResponse(
+          batch[i].node,
+          std::span(ranked).first(std::min(ranked.size(), batch[i].k)));
     }
     EnqueueResponse(batch[i].conn, std::move(line));
     batch[i].conn->in_flight.fetch_sub(1, std::memory_order_relaxed);

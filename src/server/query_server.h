@@ -18,21 +18,21 @@
 //       ▼
 //   batcher thread: waits up to `window_micros` for up to `max_batch`
 //       │           queries (micro-batching), expires queries past their
-//       │           deadline (E in FIFO position), groups the rest by k
+//       │           deadline (E in FIFO position), groups the rest by
+//       │           pinned index snapshot
 //       ▼
-//   IndexSnapshot::BatchQueryMulti(models, nodes, model_of, k): one
-//       │           shared-window call per (index snapshot, k) group,
-//       │           however many models the window mixes — row union
-//       │           gathered once, scored under every model through the
-//       │           multi-weight kernels, on the server's ThreadPool and
-//       │           BatchScratch
+//   IndexSnapshot::BatchQueryMulti(models, nodes, model_of, k): one call
+//       │           per index snapshot group, however many models and k
+//       │           values it mixes — ranked once at the group's largest
+//       │           k, each response cut to its own k, on the server's
+//       │           ThreadPool and BatchScratch
 //       ▼
 //   per-connection OUTBOXES (bounded): the batcher appends response
 //       lines in pop order (per-connection FIFO preserved) and wakes the
 //       reactor, which flushes each outbox with nonblocking sends as the
 //       socket accepts bytes
 //
-// Because BatchQuery results are identical to per-query Query() (the
+// Because batched results are identical to per-query Query() (the
 // batched determinism contract), the accumulation window and batch cap are
 // pure throughput/latency knobs: no setting changes any response byte.
 //
@@ -108,7 +108,7 @@ namespace metaprox::server {
 struct ServerOptions {
   /// TCP port on 127.0.0.1; 0 = OS-assigned (read back with port()).
   uint16_t port = 0;
-  /// Upper bound on queries ranked by one BatchQuery call.
+  /// Upper bound on queries in one batcher window.
   size_t max_batch = 64;
   /// How long the batcher waits for a window to fill once it holds at
   /// least one query. 0 = rank whatever is queued immediately (lowest
@@ -140,14 +140,6 @@ struct ServerOptions {
   /// but-unqueued query waits; TCP pushes back on the client) until the
   /// batcher makes room — server memory stays bounded, nobody is evicted.
   size_t max_pending = 1 << 20;
-  /// Rank each window with one shared BatchQueryMulti call per k group
-  /// (gather the window's row union once, score under every model). When
-  /// false, the batcher falls back to the pre-shared-window behavior — one
-  /// BatchQuery per (model snapshot, k) group. Responses are byte-identical
-  /// either way (the multi path's bitwise contract); the flag exists so
-  /// benches can A/B the two schedules on live traffic.
-  bool shared_window_scoring = true;
-
   // ---- per-client limits (docs/SERVING.md documents each in depth) ----
 
   /// Max unanswered queries one connection may have in flight. The
@@ -186,25 +178,20 @@ struct ServerOptions {
 struct ServerStats {
   uint64_t connections_accepted = 0;
   uint64_t queries = 0;          // 'Q' requests ranked
-  uint64_t batches = 0;          // engine batch calls issued (one per k
-                                 // group of a window when shared-window
-                                 // scoring is on; one per (model, k)
-                                 // group on the legacy path)
+  uint64_t batches = 0;          // engine batch calls issued (one per
+                                 // index snapshot group of a window)
   uint64_t largest_batch = 0;    // max queries ranked by one call
   uint64_t protocol_errors = 0;  // 'E' responses sent (all codes)
   uint64_t admin_commands = 0;   // admin verbs accepted (admin enabled)
 
-  // Gather-amortization counters of the shared-window batcher (zero when
-  // shared_window_scoring is off, except windows/window_model_groups,
-  // which both paths maintain). models_per_window, the mean number of
-  // distinct model snapshots a window mixes, is window_model_groups /
-  // windows.
+  // Window counters of the batcher. models_per_window, the mean number
+  // of distinct model snapshots a window mixes, is window_model_groups /
+  // windows. (STATS field 8 sits between rows_gathered and
+  // window_model_groups and always reads 0: a retired counter whose
+  // position the append-only STATS line keeps.)
   uint64_t windows = 0;               // batcher windows popped and ranked
   uint64_t window_model_groups = 0;   // sum of distinct snapshots per window
-  uint64_t rows_gathered = 0;         // node rows gathered (dotted), total
-  uint64_t rows_saved_vs_per_model = 0;  // rows per-(model,k) grouping would
-                                         // have gathered on the same
-                                         // windows, minus rows_gathered
+  uint64_t rows_gathered = 0;         // node rows dotted, total
 
   // Per-client limit counters (each also counts into protocol_errors).
   uint64_t slow_consumer_evictions = 0;  // connections closed with E 18

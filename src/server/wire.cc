@@ -293,7 +293,8 @@ bool ParseRequest(std::string_view line, Request* out) {
   return false;
 }
 
-std::string BuildQueryResponse(NodeId node, const QueryResult& result) {
+std::string BuildQueryResponse(
+    NodeId node, std::span<const std::pair<NodeId, double>> result) {
   std::string line = "R ";
   line += std::to_string(node);
   line += ' ';

@@ -23,6 +23,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -142,7 +143,10 @@ bool ParseRequest(std::string_view line, Request* out);
 
 // ---- responses ------------------------------------------------------------
 
-std::string BuildQueryResponse(NodeId node, const QueryResult& result);
+/// `R <node> <n> (<node> <score>)*` for the ranked entries given (a
+/// QueryResult, or a prefix of one when a larger-k ranking is cut).
+std::string BuildQueryResponse(
+    NodeId node, std::span<const std::pair<NodeId, double>> result);
 std::string BuildErrorResponse(ErrorCode code, std::string_view message);
 
 struct ResponseEntry {

@@ -144,10 +144,10 @@ TEST(BatchScratch, EpochSemantics) {
   EXPECT_TRUE(scratch.MarkTouched(3));
   EXPECT_FALSE(scratch.MarkTouched(3));  // second touch, same batch
   EXPECT_TRUE(scratch.MarkTouched(7));
-  scratch.SetNodeDot(3, 0.5);
-  scratch.SetNodeDot(7, -1.25);
-  EXPECT_EQ(scratch.NodeDot(3), 0.5);
-  EXPECT_EQ(scratch.NodeDot(7), -1.25);
+  *scratch.MutableNodeDots(3) = 0.5;
+  *scratch.MutableNodeDots(7) = -1.25;
+  EXPECT_EQ(scratch.NodeDots(3)[0], 0.5);
+  EXPECT_EQ(scratch.NodeDots(7)[0], -1.25);
   ASSERT_EQ(scratch.touched().size(), 2u);
   EXPECT_EQ(scratch.touched()[0], 3u);
   EXPECT_EQ(scratch.touched()[1], 7u);
@@ -156,8 +156,8 @@ TEST(BatchScratch, EpochSemantics) {
   scratch.BeginBatch(8);
   EXPECT_TRUE(scratch.touched().empty());
   EXPECT_TRUE(scratch.MarkTouched(3));
-  scratch.SetNodeDot(3, 2.0);
-  EXPECT_EQ(scratch.NodeDot(3), 2.0);
+  *scratch.MutableNodeDots(3) = 2.0;
+  EXPECT_EQ(scratch.NodeDots(3)[0], 2.0);
 
   // Different graph size: tables resize, marks expire.
   scratch.BeginBatch(20);
@@ -180,17 +180,17 @@ TEST(BatchScratch, MultiModelDotRows) {
   dots[0] = 1.0;
   dots[1] = 2.0;
   dots[2] = 3.0;
+  EXPECT_EQ(scratch.NodeDots(5)[0], 1.0);
   EXPECT_EQ(scratch.NodeDots(5)[1], 2.0);
-  // NodeDot (the single-model accessor) reads model 0's slot.
-  EXPECT_EQ(scratch.NodeDot(5), 1.0);
+  EXPECT_EQ(scratch.NodeDots(5)[2], 3.0);
 
   // Narrowing back to one model: same node id maps to a different slot in
   // the packed layout; the epoch must have expired the old row.
   scratch.BeginBatch(8, 1);
   EXPECT_EQ(scratch.num_models(), 1u);
   EXPECT_TRUE(scratch.MarkTouched(5));
-  scratch.SetNodeDot(5, 7.5);
-  EXPECT_EQ(scratch.NodeDot(5), 7.5);
+  *scratch.MutableNodeDots(5) = 7.5;
+  EXPECT_EQ(scratch.NodeDots(5)[0], 7.5);
 }
 
 TEST(BatchScratch, TouchedCapacityHoldsTheHighWaterMark) {
@@ -220,10 +220,9 @@ TEST(BatchScratchDeathTest, ReadingAnUnmarkedRowDiesInDebugBuilds) {
   BatchScratch scratch;
   scratch.BeginBatch(8);
   scratch.MarkTouched(3);
-  scratch.SetNodeDot(3, 1.0);
+  *scratch.MutableNodeDots(3) = 1.0;
   // Node 4 was never marked this batch: its slot may hold a stale dot from
   // an earlier epoch, so the read must be rejected, not served.
-  EXPECT_DEATH((void)scratch.NodeDot(4), "");
   EXPECT_DEATH((void)scratch.NodeDots(4), "");
 #endif
 }

@@ -280,6 +280,32 @@ TEST(IndexMaintainer, PinnedSnapshotsOutliveRefreshes) {
   }
 }
 
+TEST(IndexMaintainer, EmptyRefreshSharesThePredecessorsState) {
+  const Base& base = SharedBase();
+  IndexMaintainer maintainer(*base.engine);
+  const auto before = maintainer.snapshot();
+
+  RefreshStats stats;
+  auto refreshed = maintainer.Refresh(&stats);
+  ASSERT_TRUE(refreshed.ok()) << refreshed.status().ToString();
+  EXPECT_EQ((*refreshed)->generation(), before->generation() + 1);
+  EXPECT_EQ(maintainer.snapshot().get(), refreshed->get());
+  // Nothing appended: the new generation aliases what it replaces.
+  EXPECT_EQ((*refreshed)->shared_index().get(), before->shared_index().get());
+  EXPECT_EQ((*refreshed)->shared_graph().get(), before->shared_graph().get());
+  EXPECT_EQ((*refreshed)->shared_metagraphs().get(),
+            before->shared_metagraphs().get());
+  EXPECT_EQ(stats.affected_metagraphs, 0u);
+
+  // The lineage continues normally after an empty refresh.
+  ASSERT_TRUE(maintainer.AppendEdge(base.users[1], base.users[8]).ok());
+  auto grown = maintainer.Refresh();
+  ASSERT_TRUE(grown.ok()) << grown.status().ToString();
+  EXPECT_EQ((*grown)->generation(), before->generation() + 2);
+  EXPECT_EQ(IndexBytes((*grown)->index()),
+            IndexBytes(RebuildAll(*base.engine, (*grown)->graph())));
+}
+
 TEST(IndexMaintainer, AppendValidatesAgainstBufferedState) {
   const Base& base = SharedBase();
   IndexMaintainer maintainer(*base.engine);

@@ -4,8 +4,8 @@
 // scores, same tie-break order — to Query() under queries[i]'s own model,
 // and therefore to per-model BatchRankByProximity, for every window size,
 // model mix (including duplicates of a node across models), pool size and
-// kernel. Also covers the gather-amortization stats and concurrent windows
-// on distinct scratches (the TSan concurrency label).
+// kernel. Also covers the demand-driven node-row count and concurrent
+// windows on distinct scratches (the TSan concurrency label).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -219,20 +219,56 @@ TEST(MultiBatchQuery, StatsAccountForSharedGather) {
                                          w.model_of, 10, &stats);
   ExpectIdenticalToQuery(w, 10, multi);
   EXPECT_GT(stats.rows_gathered, 0u);
-  // The union gather can never touch more rows than four per-model gathers
-  // would, and with the user pool striped round robin the models' candidate
-  // sets overlap heavily — the shared window must actually save.
-  EXPECT_GT(stats.rows_per_model, stats.rows_gathered);
-  // Queries of one window are mutual candidates here, so some pair rows
-  // must have been precomputed once for all models.
-  EXPECT_GT(stats.shared_pair_rows, 0u);
+}
 
-  // One model: the union IS the per-model gather; nothing to save.
-  const Window w1 = WindowOf(16, 1);
-  BatchMultiStats stats1;
-  (void)p.engine->BatchQueryMulti(WeightSpans(1), w1.queries, w1.model_of, 10,
-                                  &stats1);
-  EXPECT_EQ(stats1.rows_per_model, stats1.rows_gathered);
+// Node rows of the eager plan: every query node plus all its candidates.
+uint64_t EagerCandidateUnion(const std::vector<NodeId>& queries) {
+  const MetagraphVectorIndex& index = SharedPipeline().engine->index();
+  std::vector<char> seen(index.num_graph_nodes(), 0);
+  uint64_t rows = 0;
+  auto mark = [&](NodeId x) {
+    if (seen[x]) return;
+    seen[x] = 1;
+    ++rows;
+  };
+  for (NodeId q : queries) {
+    mark(q);
+    for (NodeId y : index.Candidates(q)) mark(y);
+  }
+  return rows;
+}
+
+TEST(MultiBatchQuery, NodeRowsAreDottedOnlyForSurvivingCandidates) {
+  const Pipeline& p = SharedPipeline();
+  // evens/odds mute complementary halves of the metagraphs, so some
+  // candidates' pair rows score 0 under the model their query names. The
+  // oracle never reads those candidates' node rows, and neither may the
+  // batch: it dots fewer rows than the eager candidate union. (A small
+  // window: on this graph 16 queries' candidate sets already cover every
+  // user.)
+  const std::vector<std::span<const double>> spans = {p.models[2].weights,
+                                                      p.models[3].weights};
+  const Window w = WindowOf(4, 2);
+  BatchMultiStats stats;
+  auto multi = BatchRankByProximityMulti(p.engine->index(), spans, w.queries,
+                                         w.model_of, 10, nullptr, nullptr,
+                                         &stats);
+  ASSERT_EQ(multi.size(), w.queries.size());
+  for (size_t i = 0; i < w.queries.size(); ++i) {
+    EXPECT_EQ(multi[i],
+              p.engine->Query(p.models[2 + w.model_of[i]], w.queries[i], 10))
+        << "query #" << i;
+  }
+  EXPECT_GT(stats.rows_gathered, 0u);
+  EXPECT_LT(stats.rows_gathered, EagerCandidateUnion(w.queries));
+
+  // The trained model's weights are sparse: even a full window leaves
+  // most candidates' pair dots at 0.
+  const Window trained = WindowOf(64, 1);
+  auto ranked = p.engine->BatchQueryMulti(WeightSpans(1), trained.queries,
+                                          trained.model_of, 10, &stats);
+  ExpectIdenticalToQuery(trained, 10, ranked);
+  EXPECT_LT(stats.rows_gathered, EagerCandidateUnion(trained.queries));
 }
 
 TEST(MultiBatchQuery, EmptyWindowReturnsEmpty) {

@@ -280,7 +280,7 @@ TEST(QueryServer, MicroBatchingCoalescesPipelinedQueries) {
   ServerOptions options;
   options.max_batch = 32;
   // A generous window: the client floods 100 queries over loopback well
-  // inside it, so the batcher must coalesce them into few BatchQuery
+  // inside it, so the batcher must coalesce them into few BatchQueryMulti
   // calls. (Upper bound asserted loosely to stay timing-robust.)
   options.window_micros = 50000;
   auto server = StartServer(options);
@@ -301,6 +301,51 @@ TEST(QueryServer, MicroBatchingCoalescesPipelinedQueries) {
   EXPECT_EQ(stats.queries, kQueries);
   EXPECT_LT(stats.batches, kQueries / 2) << "micro-batching never engaged";
   EXPECT_GT(stats.largest_batch, 1u);
+}
+
+TEST(QueryServer, MixedKWindowCutsEachResponseToItsOwnK) {
+  ServerOptions options;
+  options.max_batch = 64;
+  // A generous window: the burst below lands in one or a few windows, so
+  // k = 3, 10 and 100 for the same (node, model) share a ranking call.
+  options.window_micros = 50000;
+  auto server = StartServer(options);
+  auto sock = util::ConnectTcp("127.0.0.1", server->port());
+  ASSERT_TRUE(sock.ok());
+  util::LineReader reader(*sock);
+  const Pipeline& p = SharedPipeline();
+
+  struct Sent {
+    NodeId node;
+    const MgpModel* model;
+    size_t k;
+  };
+  std::vector<Sent> sent;
+  std::string burst;
+  for (size_t i = 0; i < 8; ++i) {
+    const NodeId q = p.users[(11 * i) % p.users.size()];
+    for (size_t k : {size_t{3}, size_t{100}, size_t{10}}) {
+      burst += server::BuildQueryRequest("alt", q, k);
+      sent.push_back({q, &p.alt_model, k});
+      burst += server::BuildQueryRequest(q, k);
+      sent.push_back({q, &p.model, k});
+    }
+  }
+  ASSERT_TRUE(util::SendAll(*sock, burst).ok());
+  for (const Sent& s : sent) {
+    std::string line;
+    ASSERT_TRUE(reader.ReadLine(&line));
+    // Byte-identical to the offline answer at the request's own k.
+    EXPECT_EQ(line + '\n',
+              server::BuildQueryResponse(
+                  s.node, p.engine->Query(*s.model, s.node, s.k)))
+        << "node " << s.node << " k " << s.k;
+  }
+  // One index snapshot: every window is one ranking call, whatever k mix.
+  const server::ServerStats stats = server->stats();
+  EXPECT_EQ(stats.queries, sent.size());
+  EXPECT_EQ(stats.batches, stats.windows);
+  EXPECT_GT(stats.largest_batch, 1u) << "the burst never shared a window";
 }
 
 TEST(QueryServer, PerModelServeCountersAdvance) {
@@ -572,6 +617,27 @@ TEST(QueryServer, StatsRequestAnswers) {
   std::string line;
   ASSERT_TRUE(reader.ReadLine(&line));
   EXPECT_EQ(line.substr(0, 6), "STATS ") << line;
+
+  // After a ranked query: still 17 fields (the line only ever appends),
+  // and field 8 — the retired rows_saved_vs_per_model — reads 0.
+  ASSERT_TRUE(util::SendAll(*sock, server::BuildQueryRequest(
+                                       SharedPipeline().users[0], 10))
+                  .ok());
+  ASSERT_TRUE(reader.ReadLine(&line));
+  ASSERT_EQ(line.substr(0, 2), "R ") << line;
+  ASSERT_TRUE(util::SendAll(*sock, server::BuildStatsRequest()).ok());
+  ASSERT_TRUE(reader.ReadLine(&line));
+  std::vector<std::string> fields;
+  for (size_t pos = 6; pos <= line.size();) {
+    size_t end = line.find(' ', pos);
+    if (end == std::string::npos) end = line.size();
+    fields.push_back(line.substr(pos, end - pos));
+    pos = end + 1;
+  }
+  ASSERT_EQ(fields.size(), 17u) << line;
+  EXPECT_EQ(fields[1], "1") << line;   // queries
+  EXPECT_NE(fields[6], "0") << line;   // rows_gathered
+  EXPECT_EQ(fields[7], "0") << line;   // retired field 8
 }
 
 TEST(QueryServer, StopDisconnectsClientsWithoutHanging) {
